@@ -74,6 +74,7 @@ def spec_fingerprint(
     data_partitions: int | None = None,
     layout: str = "row",
     tuning: Any = None,
+    data_version: int = 1,
 ) -> dict[str, Any]:
     """The canonical spec fingerprint two comparable runs must share.
 
@@ -89,7 +90,10 @@ def spec_fingerprint(
     (every historical record was implicitly normal), while a tuned
     profile's payload (see
     :meth:`repro.tuning.profiles.TuningProfile.fingerprint`) forks the
-    series so tuned runs never pollute baseline history.
+    series so tuned runs never pollute baseline history.  So does
+    ``data_version``, the :attr:`~repro.datagen.base.DataGenerator.version`
+    of the generator the data came from: version 1 adds nothing, a later
+    version starts a new series because the data itself changed.
     """
     params = dict(params or {})
     fingerprint = {
@@ -108,6 +112,8 @@ def spec_fingerprint(
         fingerprint["layout"] = layout
     if tuning:
         fingerprint["tuning"] = tuning
+    if data_version != 1:
+        fingerprint["data_version"] = data_version
     return fingerprint
 
 

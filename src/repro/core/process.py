@@ -326,6 +326,9 @@ class BenchmarkingProcess:
 
         store = RunStore(resolve_store_dir(spec.store_dir))
         environment = environment_fingerprint()
+        data_version = self.test_generator.data_version(
+            self.repository.get(spec.prescription).data
+        )
         for outcome in report.results + report.failures:
             fingerprint = spec_fingerprint(
                 spec.prescription,
@@ -339,6 +342,7 @@ class BenchmarkingProcess:
                 data_partitions=spec.data_partitions,
                 layout=spec.layout,
                 tuning=get_profile(outcome.engine, spec.tuning).fingerprint(),
+                data_version=data_version,
             )
             record = store.record_outcome(
                 outcome, fingerprint, environment=environment

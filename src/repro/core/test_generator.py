@@ -159,6 +159,10 @@ class TestGenerator:
                 ),
             )
 
+    def data_version(self, requirement: DataRequirement) -> int:
+        """The version of the generator ``requirement`` names."""
+        return self.generators.create(requirement.generator).version
+
     def _fit(self, generator: DataGenerator, requirement: DataRequirement) -> None:
         """Fit a veracity-aware generator on its prescribed seed data."""
         if requirement.fit_on is not None:

@@ -17,47 +17,66 @@ from repro.core.errors import GenerationError
 
 
 class AliasSampler:
-    """O(1) discrete sampling via Walker's alias method."""
+    """O(1) discrete sampling via Walker's alias method.
 
-    def __init__(self, probabilities: Sequence[float]) -> None:
+    ``probabilities`` is one distribution (1-D) or a stack of them (2-D,
+    one distribution per row over the same outcomes).  Every row gets its
+    own table, so a draw may name the row it comes from.
+    """
+
+    def __init__(self, probabilities: Sequence[float] | np.ndarray) -> None:
         weights = np.asarray(probabilities, dtype=np.float64)
-        if weights.ndim != 1 or len(weights) == 0:
-            raise GenerationError("probabilities must be a non-empty 1-D sequence")
+        if weights.ndim not in (1, 2) or weights.size == 0:
+            raise GenerationError(
+                "probabilities must be a non-empty 1-D or 2-D sequence"
+            )
         if np.any(weights < 0):
             raise GenerationError("probabilities must be non-negative")
-        total = weights.sum()
-        if total <= 0:
+        rows = np.atleast_2d(weights)
+        totals = rows.sum(axis=1)
+        if np.any(totals <= 0):
             raise GenerationError("probabilities must sum to a positive value")
-        size = len(weights)
-        scaled = weights * (size / total)
-        self._probability = np.zeros(size)
-        self._alias = np.zeros(size, dtype=np.int64)
+        size = rows.shape[1]
+        self._probability = np.zeros(rows.shape)
+        self._alias = np.zeros(rows.shape, dtype=np.int64)
+        for row, total in enumerate(totals):
+            self._build_row(row, rows[row] * (size / total))
+
+    def _build_row(self, row: int, scaled: np.ndarray) -> None:
+        probability = self._probability[row]
+        alias = self._alias[row]
         small = [i for i, w in enumerate(scaled) if w < 1.0]
         large = [i for i, w in enumerate(scaled) if w >= 1.0]
-        scaled = scaled.copy()
         while small and large:
             lo = small.pop()
             hi = large.pop()
-            self._probability[lo] = scaled[lo]
-            self._alias[lo] = hi
+            probability[lo] = scaled[lo]
+            alias[lo] = hi
             scaled[hi] = scaled[hi] - (1.0 - scaled[lo])
             if scaled[hi] < 1.0:
                 small.append(hi)
             else:
                 large.append(hi)
         for remaining in large + small:
-            self._probability[remaining] = 1.0
-            self._alias[remaining] = remaining
+            probability[remaining] = 1.0
+            alias[remaining] = remaining
 
     def __len__(self) -> int:
-        return len(self._probability)
+        """The number of outcomes each row draws from."""
+        return self._probability.shape[1]
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` indexes distributed per the constructor weights."""
-        columns = rng.integers(0, len(self._probability), size=count)
+    def sample(
+        self, rng: np.random.Generator, count: int, rows: int | np.ndarray = 0
+    ) -> np.ndarray:
+        """Draw ``count`` indexes distributed per the constructor weights.
+
+        ``rows`` picks the distribution: one row index for every draw, or
+        an array of ``count`` row indexes, one per draw.
+        """
+        columns = rng.integers(0, len(self), size=count)
         coins = rng.random(count)
-        keep = coins < self._probability[columns]
-        return np.where(keep, columns, self._alias[columns])
+        keep = coins < self._probability[rows, columns]
+        return np.where(keep, columns, self._alias[rows, columns])
 
 
 def naive_sample(

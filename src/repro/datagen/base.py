@@ -215,6 +215,9 @@ class DataGenerator(ABC):
     data_type: DataType = DataType.TEXT
     #: Whether this generator learns a model from real data (veracity).
     veracity_aware: bool = False
+    #: Bumped whenever the records a seed produces change, so recorded
+    #: runs on the new data land in a new run-store series.
+    version: int = 1
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)

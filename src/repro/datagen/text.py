@@ -5,7 +5,8 @@ implements: a text generator that (1) learns a word dictionary from a real
 text data set, (2) trains the parameters of an LDA model [Blei et al. 2003]
 on that data set, and (3) generates synthetic text from the trained model.
 
-The LDA trainer is a from-scratch collapsed Gibbs sampler (numpy only).
+The LDA trainer is a from-scratch collapsed Gibbs sampler; the fitted
+model samples words through one Walker alias table per topic.
 Two baseline generators are provided for veracity ablations:
 
 * :class:`UnigramTextGenerator` — learns only the marginal word frequency
@@ -18,12 +19,14 @@ Two baseline generators are provided for veracity ablations:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.errors import GenerationError
+from repro.datagen.alias import AliasSampler
 from repro.datagen.base import (
     DataGenerator,
     DataSet,
@@ -71,6 +74,31 @@ class Vocabulary:
         return list(self._words)
 
 
+def draw_topic(
+    word_row: Sequence[int],
+    doc_row: Sequence[int],
+    topic_totals: Sequence[int],
+    alpha: float,
+    beta: float,
+    vocab_beta: float,
+    uniform: float,
+) -> int:
+    """One collapsed-Gibbs topic draw, by inverse CDF over K weights.
+
+    The rows hold one token's word-topic, document-topic and topic-total
+    counts with that token removed; topic ``k`` has weight
+    ``(word_row[k] + beta) * (doc_row[k] + alpha) / (topic_totals[k] +
+    vocab_beta)``.  ``uniform`` in [0, 1) picks the first topic whose
+    running weight reaches ``uniform`` times the total.
+    """
+    running = 0.0
+    cumulative = []
+    for word_count, doc_count, total in zip(word_row, doc_row, topic_totals):
+        running += (word_count + beta) * (doc_count + alpha) / (total + vocab_beta)
+        cumulative.append(running)
+    return bisect_left(cumulative, uniform * running)
+
+
 class LdaModel:
     """Latent Dirichlet Allocation fitted with collapsed Gibbs sampling.
 
@@ -97,68 +125,75 @@ class LdaModel:
         self.vocabulary: Vocabulary | None = None
         self.phi: np.ndarray | None = None  # topics x vocab
         self.mean_document_length: float = 0.0
+        #: One Walker alias table per topic over ``phi``, built by ``fit``.
+        self._word_sampler: AliasSampler | None = None
 
     @property
     def is_fitted(self) -> bool:
         return self.phi is not None
 
     def fit(self, documents: Sequence[Sequence[str]]) -> "LdaModel":
-        """Fit the model on tokenized documents via collapsed Gibbs sampling."""
+        """Fit the model on tokenized documents via collapsed Gibbs sampling.
+
+        Each sweep visits every token in corpus order and resamples its
+        topic from the exact collapsed conditional
+        ``(n_wk + beta) / (n_k + V beta) * (n_dk + alpha)`` (see
+        :func:`draw_topic`).  The counts live in plain lists, word-major
+        so one token touches one row, and each sweep draws its uniforms
+        in one block.
+        """
         if not documents:
             raise GenerationError("cannot fit an LDA model on an empty corpus")
         vocabulary = Vocabulary()
-        doc_tokens = [
-            np.array([vocabulary.add(word) for word in doc], dtype=np.int64)
-            for doc in documents
-        ]
+        doc_tokens = [[vocabulary.add(word) for word in doc] for doc in documents]
         vocab_size = len(vocabulary)
         if vocab_size == 0:
             raise GenerationError("corpus contains no tokens")
         rng = np.random.default_rng(self.seed)
         num_topics = self.num_topics
+        alpha = self.alpha
+        beta = self.beta
+        vocab_beta = beta * vocab_size
+        num_tokens = sum(len(tokens) for tokens in doc_tokens)
 
-        topic_word = np.zeros((num_topics, vocab_size), dtype=np.float64)
-        doc_topic = np.zeros((len(doc_tokens), num_topics), dtype=np.float64)
-        topic_totals = np.zeros(num_topics, dtype=np.float64)
-        assignments: list[np.ndarray] = []
-
-        for doc_index, tokens in enumerate(doc_tokens):
-            topics = rng.integers(num_topics, size=len(tokens))
-            assignments.append(topics)
+        word_topic = [[0] * num_topics for _ in range(vocab_size)]
+        doc_topic = [[0] * num_topics for _ in doc_tokens]
+        topic_totals = [0] * num_topics
+        initial = iter(rng.integers(num_topics, size=num_tokens).tolist())
+        assignments = [
+            [next(initial) for _ in tokens] for tokens in doc_tokens
+        ]
+        for tokens, topics, doc_row in zip(doc_tokens, assignments, doc_topic):
             for word_id, topic in zip(tokens, topics):
-                topic_word[topic, word_id] += 1
-                doc_topic[doc_index, topic] += 1
+                word_topic[word_id][topic] += 1
+                doc_row[topic] += 1
                 topic_totals[topic] += 1
 
         for _ in range(self.iterations):
-            for doc_index, tokens in enumerate(doc_tokens):
-                topics = assignments[doc_index]
+            uniforms = iter(rng.random(num_tokens).tolist())
+            for tokens, topics, doc_row in zip(doc_tokens, assignments, doc_topic):
                 for position, word_id in enumerate(tokens):
-                    old_topic = topics[position]
-                    topic_word[old_topic, word_id] -= 1
-                    doc_topic[doc_index, old_topic] -= 1
-                    topic_totals[old_topic] -= 1
+                    word_row = word_topic[word_id]
+                    topic = topics[position]
+                    word_row[topic] -= 1
+                    doc_row[topic] -= 1
+                    topic_totals[topic] -= 1
 
-                    weights = (
-                        (topic_word[:, word_id] + self.beta)
-                        / (topic_totals + self.beta * vocab_size)
-                        * (doc_topic[doc_index] + self.alpha)
+                    topic = draw_topic(
+                        word_row, doc_row, topic_totals,
+                        alpha, beta, vocab_beta, next(uniforms),
                     )
-                    weights /= weights.sum()
-                    new_topic = int(rng.choice(num_topics, p=weights))
+                    topics[position] = topic
+                    word_row[topic] += 1
+                    doc_row[topic] += 1
+                    topic_totals[topic] += 1
 
-                    topics[position] = new_topic
-                    topic_word[new_topic, word_id] += 1
-                    doc_topic[doc_index, new_topic] += 1
-                    topic_totals[new_topic] += 1
-
-        phi = topic_word + self.beta
+        phi = np.array(word_topic, dtype=np.float64).T + beta
         phi /= phi.sum(axis=1, keepdims=True)
         self.phi = phi
         self.vocabulary = vocabulary
-        self.mean_document_length = float(
-            np.mean([len(tokens) for tokens in doc_tokens])
-        )
+        self._word_sampler = AliasSampler(phi)
+        self.mean_document_length = num_tokens / len(doc_tokens)
         return self
 
     def topic_distribution(self) -> np.ndarray:
@@ -175,11 +210,8 @@ class LdaModel:
             length = max(1, int(rng.poisson(self.mean_document_length)))
         theta = rng.dirichlet(np.full(self.num_topics, max(self.alpha, 1e-6)))
         topics = rng.choice(self.num_topics, size=length, p=theta)
-        words: list[str] = []
-        for topic in topics:
-            word_id = int(rng.choice(self.phi.shape[1], p=self.phi[topic]))
-            words.append(self.vocabulary.word_of(word_id))
-        return words
+        word_ids = self._word_sampler.sample(rng, length, rows=topics)
+        return [self.vocabulary.word_of(word_id) for word_id in word_ids.tolist()]
 
     def infer_document_mixture(
         self, tokens: Sequence[str], iterations: int = 30
@@ -226,6 +258,9 @@ class LdaTextGenerator(DataGenerator):
 
     data_type = DataType.TEXT
     veracity_aware = True
+    #: 2: the inverse-CDF Gibbs kernel and alias-table word sampling
+    #: changed the random stream, and with it every generated document.
+    version = 2
 
     def __init__(
         self,

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.errors import ExecutionError
+from repro.core.errors import ExecutionError, RegistryError, TestGenerationError
 from repro.core.metrics import MetricSuite
 from repro.core.prescription import Prescription
 from repro.core.results import RunResult, TaskFailure
@@ -562,6 +562,7 @@ class TestRunner:
                 # columnar runs land in their own comparable series.
                 layout=outcome.extra.get("layout", "row"),
                 tuning=task.tuning,
+                data_version=self._data_version(task),
             )
             self.store.record_outcome(
                 outcome, fingerprint, environment=environment
@@ -815,6 +816,15 @@ class TestRunner:
         if isinstance(prescription, str):
             return self.test_generator.repository.get(prescription)
         return prescription
+
+    def _data_version(self, task: RunTask) -> int:
+        """The task's generator version; 1 when the prescription or its
+        generator is unknown (the failure record carries that error)."""
+        try:
+            requirement = self._resolved_prescription(task).data
+            return self.test_generator.data_version(requirement)
+        except (TestGenerationError, RegistryError):
+            return 1
 
     def _shipped_task_prescription(self, task: RunTask) -> Prescription | str:
         """What the descriptor carries: a worker-resolvable name or value.

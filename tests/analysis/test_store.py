@@ -56,6 +56,20 @@ class TestFingerprints:
         )
         assert fingerprint["seed"] == 42
 
+    def test_data_version_one_leaves_payload_untouched(self):
+        default = spec_fingerprint("p", "e", data_version=1)
+        assert "data_version" not in default
+        assert fingerprint_hash(default) == fingerprint_hash(
+            spec_fingerprint("p", "e")
+        )
+
+    def test_later_data_version_forks_the_series(self):
+        forked = spec_fingerprint("p", "e", data_version=2)
+        assert forked["data_version"] == 2
+        assert fingerprint_hash(forked) != fingerprint_hash(
+            spec_fingerprint("p", "e")
+        )
+
     def test_environment_fingerprint_has_identity_fields(self):
         env = environment_fingerprint()
         assert env["python"]
@@ -156,3 +170,56 @@ class TestResolveStoreDir:
         assert resolve_store_dir() == str(tmp_path / "env")
         monkeypatch.delenv(STORE_DIR_ENV)
         assert resolve_store_dir() == DEFAULT_STORE_DIR
+
+
+class TestRecordedDataVersion:
+    """Both recording paths stamp the prescription generator's version."""
+
+    #: ``micro-cfs`` (``random-text``, version 1) at volume 20, exactly
+    #: as it was recorded before generators carried a version.
+    MICRO_CFS = {
+        "chunk_size": None, "data_partitions": 1, "engine": "dfs",
+        "executor": "serial", "params": {}, "prescription": "micro-cfs",
+        "repeats": 1, "seed": 0, "volume": 20, "workload": "cfs",
+    }
+    MICRO_CFS_SERIES = "7e3b67f53436"
+
+    @staticmethod
+    def recorded(path, prescription, engine, via):
+        from repro.core.process import BenchmarkingProcess
+        from repro.core.spec import BenchmarkSpec
+        from repro.execution.runner import RunTask, TestRunner
+
+        if via == "process":
+            spec = BenchmarkSpec(
+                prescription, engines=[engine], volume=20,
+                record=True, store_dir=str(path),
+            )
+            BenchmarkingProcess().execute(spec)
+        else:
+            runner = TestRunner(store=RunStore(path))
+            runner.run_many([RunTask(prescription, engine, 20)])
+        return RunStore(path).get("latest")
+
+    @pytest.mark.parametrize("via", ["process", "runner"])
+    def test_lda_text_run_carries_its_version(self, tmp_path, via):
+        record = self.recorded(tmp_path, "search-index", "mapreduce", via)
+        assert record.fingerprint["data_version"] == 2
+
+    @pytest.mark.parametrize("via", ["process", "runner"])
+    def test_version_one_run_keeps_its_series(self, tmp_path, via):
+        record = self.recorded(tmp_path, "micro-cfs", "dfs", via)
+        assert record.fingerprint == self.MICRO_CFS
+        assert record.series == self.MICRO_CFS_SERIES
+
+    def test_unresolvable_failure_is_recorded_at_version_one(self, tmp_path):
+        from repro.execution.runner import RunTask, TestRunner
+
+        runner = TestRunner(store=RunStore(tmp_path))
+        [failure] = runner.run_many(
+            [RunTask("no-such-prescription", "dbms", 20)], on_error="continue"
+        )
+        assert isinstance(failure, TaskFailure)
+        record = RunStore(tmp_path).get("latest")
+        assert record.status == "failed"
+        assert "data_version" not in record.fingerprint

@@ -122,3 +122,31 @@ class TestAliasSampler:
             AliasSampler([-0.5, 1.5])
         with pytest.raises(GenerationError):
             AliasSampler([0.0, 0.0])
+        with pytest.raises(GenerationError):
+            AliasSampler([[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(GenerationError):
+            AliasSampler([[[1.0]]])
+
+    PHI = np.array([
+        [0.50, 0.30, 0.10, 0.05, 0.05],
+        [0.02, 0.08, 0.10, 0.30, 0.50],
+        [0.20, 0.20, 0.20, 0.20, 0.20],
+    ])
+
+    def test_multi_row_draws_match_each_row(self):
+        sampler = AliasSampler(self.PHI)
+        assert len(sampler) == 5
+        rows = np.random.default_rng(6).integers(0, 3, size=150_000)
+        draws = sampler.sample(np.random.default_rng(7), len(rows), rows=rows)
+        for row, expected in enumerate(self.PHI):
+            frequencies = np.bincount(draws[rows == row], minlength=5)
+            frequencies = frequencies / frequencies.sum()
+            assert np.allclose(frequencies, expected, atol=0.01)
+
+    def test_one_row_of_many_matches_its_own_sampler(self):
+        """A scalar row draws exactly what that row alone would."""
+        stacked = AliasSampler(self.PHI).sample(
+            np.random.default_rng(8), 500, rows=1
+        )
+        alone = AliasSampler(self.PHI[1]).sample(np.random.default_rng(8), 500)
+        assert np.array_equal(stacked, alone)

@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro  # noqa: F401 — fills the registries
+from repro.core import registry
 from repro.core.errors import GenerationError
-from repro.datagen.base import DataType, as_dataset
+from repro.core.prescription import load_seed
+from repro.datagen.base import DataGenerator, DataType, as_dataset
 from repro.datagen.text import (
     LdaModel,
     LdaTextGenerator,
     RandomTextGenerator,
     UnigramTextGenerator,
     Vocabulary,
+    draw_topic,
     tokenize,
     word_distribution,
+)
+from repro.datagen.veracity import (
+    text_veracity,
+    topic_structure_veracity,
+    total_variation,
 )
 
 
@@ -47,6 +57,39 @@ class TestVocabulary:
         vocabulary = Vocabulary(["w"])
         assert "w" in vocabulary
         assert "z" not in vocabulary
+
+
+class TestDrawTopic:
+    #: One token's counts with the token removed: word-topic, document-
+    #: topic and topic totals over K = 4 topics and V = 138 words.
+    WORD_ROW = [3, 40, 0, 7]
+    DOC_ROW = [10, 2, 0, 60]
+    TOPIC_TOTALS = [5000, 4000, 4500, 5700]
+    ALPHA, BETA, VOCAB_SIZE = 0.1, 0.01, 138
+
+    def conditional(self) -> np.ndarray:
+        weights = (
+            (np.array(self.WORD_ROW) + self.BETA)
+            * (np.array(self.DOC_ROW) + self.ALPHA)
+            / (np.array(self.TOPIC_TOTALS) + self.BETA * self.VOCAB_SIZE)
+        )
+        return weights / weights.sum()
+
+    def draw(self, uniform: float) -> int:
+        return draw_topic(
+            self.WORD_ROW, self.DOC_ROW, self.TOPIC_TOTALS,
+            self.ALPHA, self.BETA, self.BETA * self.VOCAB_SIZE, uniform,
+        )
+
+    def test_draws_follow_the_collapsed_conditional(self):
+        uniforms = np.random.default_rng(5).random(200_000).tolist()
+        draws = [self.draw(uniform) for uniform in uniforms]
+        frequencies = np.bincount(draws, minlength=4) / len(draws)
+        assert total_variation(frequencies, self.conditional()) < 0.01
+
+    def test_uniform_endpoints_stay_in_range(self):
+        assert self.draw(0.0) == 0
+        assert self.draw(np.nextafter(1.0, 0.0)) == 3
 
 
 class TestLdaModel:
@@ -110,6 +153,29 @@ class TestLdaTextGenerator:
             generator = LdaTextGenerator(iterations=3, seed=4).fit(text_corpus)
             runs.append(generator.generate(5).records)
         assert runs[0] == runs[1]
+
+    def test_version_forks_the_data_series(self):
+        assert DataGenerator.version == 1
+        assert RandomTextGenerator.version == 1
+        assert LdaTextGenerator.version == 2
+
+
+class TestLdaVeracityRegression:
+    """The registry ``lda-text`` generator as prescriptions run it."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_corpus_stays_faithful(self, seed):
+        corpus = load_seed("text-corpus")
+        generator = registry.generators.create("lda-text")
+        generator.seed = seed
+        generator.model.seed = seed
+        generator.fit(corpus)
+        synthetic = generator.generate(1000).records
+        assert text_veracity(corpus.records, synthetic).score <= 0.01
+        topics = topic_structure_veracity(
+            corpus.records, synthetic, generator.model
+        )
+        assert topics.score <= 0.2
 
 
 class TestUnigramTextGenerator:

@@ -192,7 +192,6 @@ class BenchmarkingProcess:
                 check_format=False,
                 executor=spec.executor,
                 max_workers=spec.max_workers,
-                warm_pool=spec.warm_pool,
                 on_error=spec.on_error,
                 retries=spec.retries,
                 retry_backoff=spec.retry_backoff,

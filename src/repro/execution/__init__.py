@@ -21,8 +21,6 @@ from repro.execution.report import (
     markdown_table,
     render_results,
     render_trace,
-    results_json,
-    results_table,
 )
 from repro.execution.retry import (
     ON_ERROR_POLICIES,
@@ -40,7 +38,6 @@ from repro.execution.workers import (
     TaskDescriptor,
     WorkerInit,
     WorkerPool,
-    WorkerPoolError,
 )
 
 __all__ = [
@@ -64,7 +61,6 @@ __all__ = [
     "ThreadExecutor",
     "WorkerInit",
     "WorkerPool",
-    "WorkerPoolError",
     "ascii_table",
     "call_with_timeout",
     "compute_chunksize",
@@ -74,6 +70,4 @@ __all__ = [
     "render_results",
     "render_trace",
     "resolve_executor",
-    "results_json",
-    "results_table",
 ]

@@ -18,18 +18,22 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.prescription import Prescription
-from repro.core.results import ResultAnalyzer, RunResult
+from repro.core.results import ResultAnalyzer, RunResult, TaskFailure
 from repro.execution.config import SystemConfiguration, layout_configuration
-from repro.execution.runner import RunTask, TestRunner
+from repro.execution.runner import RunOutcome, RunTask, TestRunner
 
 
 @dataclass
 class SweepPoint:
-    """One measured point of a parameter sweep."""
+    """One measured point of a parameter sweep.
+
+    ``result`` is a :class:`TaskFailure` when the point failed every
+    attempt under ``on_error="continue"``.
+    """
 
     parameter: str
     value: Any
-    result: RunResult
+    result: RunOutcome
 
 
 @dataclass
@@ -40,20 +44,29 @@ class SweepReport:
     points: list[SweepPoint] = field(default_factory=list)
 
     def series(self, metric: str) -> list[tuple[Any, float]]:
-        """(parameter value, metric mean) pairs in sweep order."""
+        """(parameter value, metric mean) pairs in sweep order.
+
+        Failed points carry no metrics and are skipped, as in
+        :class:`ResultAnalyzer`.
+        """
         return [
             (point.value, point.result.mean(metric))
             for point in self.points
-            if metric in point.result.metrics
+            if isinstance(point.result, RunResult)
+            and metric in point.result.metrics
         ]
 
     def rows(self, metric_names: list[str]) -> list[dict[str, Any]]:
+        """One row per point; a failed point's row carries its error."""
         rows = []
         for point in self.points:
             row: dict[str, Any] = {self.parameter: point.value}
-            for name in metric_names:
-                if name in point.result.metrics:
-                    row[name] = point.result.mean(name)
+            if isinstance(point.result, TaskFailure):
+                row["error"] = point.result.error
+            else:
+                for name in metric_names:
+                    if name in point.result.metrics:
+                        row[name] = point.result.mean(name)
             rows.append(row)
         return rows
 

@@ -170,8 +170,9 @@ class ProcessExecutor(_PoolBackedExecutor):
     """Process-pool backend for CPU-bound fan-out.
 
     Tasks and results cross a process boundary, so both must be
-    picklable; the runner ships self-contained task payloads (see
-    :mod:`repro.execution.runner`) rather than closures.
+    picklable: module-level functions, not closures.  The runner's own
+    process batches use the warm pool in :mod:`repro.execution.workers`
+    instead.
     """
 
     name = "process"

@@ -15,6 +15,13 @@ of a sweep — fan out over the pluggable executor the
 are merged in submission order, so every backend returns the same
 results in the same order as the serial path.
 
+There is one dispatch path.  Every task, on every backend, runs through
+:meth:`TestRunner._run_task`: the retry/fault/timeout attempt loop,
+under a task-local tracer when tracing is on.  Serial and thread
+batches (and every single-task batch) map it in process; process
+batches stream descriptors to a warm worker pool whose workers call the
+same function (see :mod:`repro.execution.workers`).
+
 Fan-out is fault tolerant.  Every task attempt runs under the options'
 :class:`~repro.execution.retry.RetryPolicy` (bounded attempts, seeded
 exponential backoff) and optional per-task timeout, uniformly on all
@@ -58,8 +65,6 @@ from repro.execution.workers import (
     TaskDescriptor,
     WorkerInit,
     WorkerPool,
-    WorkerPoolError,
-    annotate_task_trace,
     shipped_prescription,
 )
 from repro.execution.retry import (
@@ -101,11 +106,6 @@ class RunnerOptions:
     executor: str = field(default_factory=default_backend)
     #: Worker count for the pooled backends; None means one per CPU.
     max_workers: int | None = None
-    #: Process backend only: keep a warm worker pool alive across
-    #: ``run_many`` calls (workers initialize once — runner, suite,
-    #: engines, dataset cache — then stream lightweight descriptors).
-    #: False restores the cold per-task-payload path.
-    warm_pool: bool = True
     #: What a task that exhausts its attempts does to the batch:
     #: "abort" re-raises (fail-fast, the historical semantics) while
     #: "continue" captures a TaskFailure and completes the batch.
@@ -356,17 +356,6 @@ class TestRunner:
     # Fan-out
     # ------------------------------------------------------------------
 
-    def _run_task(self, task: RunTask) -> RunResult:
-        return self.run(
-            task.prescription,
-            task.engine_name,
-            task.volume_override,
-            configuration=task.configuration,
-            data_partitions=task.data_partitions,
-            chunk_size=task.chunk_size,
-            **task.overrides,
-        )
-
     @staticmethod
     def _task_identity(task: RunTask) -> tuple[str, str]:
         """(prescription name, workload name) for keys and failure records."""
@@ -404,7 +393,15 @@ class TestRunner:
 
                 def body(attempt: int = attempt) -> RunResult:
                     with fault_attempt(task_key, attempt):
-                        return self._run_task(task)
+                        return self.run(
+                            task.prescription,
+                            task.engine_name,
+                            task.volume_override,
+                            configuration=task.configuration,
+                            data_partitions=task.data_partitions,
+                            chunk_size=task.chunk_size,
+                            **task.overrides,
+                        )
 
                 result = call_with_timeout(body, timeout)
             except Exception as caught:  # noqa: BLE001 — policy-filtered
@@ -441,11 +438,43 @@ class TestRunner:
             attempts=attempts,
         )
 
-    def _run_task_guarded(
-        self, task: RunTask, policy: RetryPolicy, on_error: str
+    def _run_task(
+        self,
+        task: RunTask,
+        index: int,
+        policy: RetryPolicy,
+        on_error: str,
+        *,
+        trace: bool,
+        queue_wait: float,
     ) -> RunOutcome:
-        """The untraced per-task path (serial loop or thread worker)."""
-        return self._attempt_loop(task, policy, on_error)
+        """The one per-task function every backend dispatches to.
+
+        Untraced, it is the attempt loop.  Traced, the loop runs under
+        a task-local tracer inside a ``task`` span (carrying
+        ``queue_wait`` plus the attempt count and final status); the
+        local tracer keeps worker-thread spans out of the shared
+        tracer's thread-local stacks, and the finished tree travels
+        back in the outcome payload — the same way from a thread or a
+        process worker — for ``run_many`` to graft.  ``queue_wait`` is
+        measured by the caller: on a ``perf_counter`` submit stamp in
+        process, on a wall-clock stamp across the process boundary.
+        """
+        if not trace:
+            return self._attempt_loop(task, policy, on_error)
+        local = Tracer()
+        with local.activate():
+            with local.span(
+                "task", index=index, engine=task.engine_name
+            ) as span:
+                span.set(queue_wait_seconds=queue_wait)
+                outcome = self._attempt_loop(
+                    task, policy, on_error, task_span=span
+                )
+        outcome.extra[TRACE_EXTRA_KEY] = [
+            root.to_dict() for root in local.roots()
+        ]
+        return outcome
 
     def run_many(
         self,
@@ -459,15 +488,16 @@ class TestRunner:
         """Run independent tasks on the configured executor backend.
 
         Results come back in submission order, so every backend is a
-        drop-in replacement for the serial loop.  The thread backend
-        shares this runner (and its dataset cache); the process backend
-        streams lightweight descriptors to a warm worker pool that is
-        kept alive across calls (see :mod:`repro.execution.workers`),
+        drop-in replacement for the serial loop.  There are two
+        dispatch branches and one per-task function
+        (:meth:`_run_task`) behind both: a process batch of two or more
+        tasks streams lightweight descriptors to a warm worker pool that
+        is kept alive across calls (see :mod:`repro.execution.workers`),
         shipping data sets as shared-memory/spill-file handles or cache
-        fingerprints instead of pickled rows.  With
-        ``options.warm_pool`` off — or when the pool cannot be built —
-        it falls back to the cold path: each task a self-contained
-        payload, a fresh serial runner per task in the worker.
+        fingerprints instead of pickled rows; every other batch maps
+        the function in process over the configured executor — the
+        thread backend sharing this runner (and its dataset cache), and
+        single-task batches running inline on any backend.
 
         The keyword-only arguments override the options' failure policy
         for this call: ``on_error`` selects abort/continue semantics,
@@ -494,38 +524,23 @@ class TestRunner:
             retries, retry_backoff
         )
         tracer = current_tracer()
-        if len(tasks) <= 1 or self.options.executor == "serial":
-            if not tracer.enabled:
-                # No early return: the store-recording epilogue below
-                # must see the serial path's outcomes too.
-                outcomes = [
-                    self._run_task_guarded(task, policy, on_error)
-                    for task in tasks
-                ]
-            else:
-                submitted = time.perf_counter()
-                outcomes = [
-                    self._run_task_traced(
-                        task, index, policy, on_error, submitted=submitted
-                    )
-                    for index, task in enumerate(tasks)
-                ]
-        elif self.options.executor == "process":
-            outcomes = self._run_many_process(tasks, policy, on_error, tracer)
+        if self.options.executor == "process" and len(tasks) > 1:
+            outcomes = self._run_many_warm(tasks, policy, on_error, tracer)
         else:
             submitted = time.perf_counter()
-            if not tracer.enabled:
-                outcomes = self.executor.map(
-                    lambda task: self._run_task_guarded(task, policy, on_error),
-                    tasks,
+
+            def run_one(pair: tuple[int, RunTask]) -> RunOutcome:
+                index, task = pair
+                return self._run_task(
+                    task,
+                    index,
+                    policy,
+                    on_error,
+                    trace=tracer.enabled,
+                    queue_wait=max(0.0, time.perf_counter() - submitted),
                 )
-            else:
-                outcomes = self.executor.map(
-                    lambda pair: self._run_task_traced(
-                        pair[1], pair[0], policy, on_error, submitted=submitted
-                    ),
-                    list(enumerate(tasks)),
-                )
+
+            outcomes = self.executor.map(run_one, list(enumerate(tasks)))
         if tracer.enabled:
             self._graft_task_traces(tracer, outcomes)
         if self.store is not None:
@@ -567,44 +582,6 @@ class TestRunner:
             self.store.record_outcome(
                 outcome, fingerprint, environment=environment
             )
-
-    def _run_task_traced(
-        self,
-        task: RunTask,
-        index: int,
-        policy: RetryPolicy,
-        on_error: str,
-        submitted: float | None = None,
-        queue_wait: float | None = None,
-    ) -> RunOutcome:
-        """One task under a task-local tracer (any thread, same process).
-
-        The local tracer keeps worker-thread spans out of the shared
-        tracer's thread-local stacks; the finished tree travels back in
-        the outcome payload exactly like a process worker's would, so
-        the merge path is one code path for every backend.  In-process
-        callers pass the ``perf_counter`` submit stamp; the process
-        worker passes a precomputed wall-clock ``queue_wait`` instead.
-        """
-        local = Tracer()
-        if queue_wait is None:
-            queue_wait = (
-                max(0.0, time.perf_counter() - submitted)
-                if submitted is not None
-                else 0.0
-            )
-        with local.activate():
-            with local.span(
-                "task", index=index, engine=task.engine_name
-            ) as span:
-                span.set(queue_wait_seconds=queue_wait)
-                outcome = self._attempt_loop(
-                    task, policy, on_error, task_span=span
-                )
-        outcome.extra[TRACE_EXTRA_KEY] = [
-            root.to_dict() for root in local.roots()
-        ]
-        return outcome
 
     @staticmethod
     def _graft_task_traces(tracer: Tracer, outcomes: list[RunOutcome]) -> None:
@@ -666,36 +643,18 @@ class TestRunner:
     # Process-backend plumbing
     # ------------------------------------------------------------------
 
-    def _run_many_process(
-        self,
-        tasks: list[RunTask],
-        policy: RetryPolicy,
-        on_error: str,
-        tracer: Tracer,
-    ) -> list[RunOutcome]:
-        """Dispatch a batch to process workers: warm pool, cold fallback."""
-        if self.options.warm_pool:
-            try:
-                pool = self._ensure_worker_pool()
-            except WorkerPoolError:
-                # Unpicklable initializer state (e.g. a closure-bearing
-                # suite): degrade to the per-task-payload path, which
-                # handles that per component instead of per pool.
-                pool = None
-            if pool is not None:
-                return self._run_many_warm(
-                    pool, tasks, policy, on_error, tracer
-                )
-        return self._run_many_cold(tasks, policy, on_error, tracer)
-
     def _worker_init(self) -> tuple[WorkerInit, str]:
         """The pool initializer for the current runner state, plus its
         content digest (the pool-identity half of the invalidation key).
+
+        Only what pickles is installed: an unpicklable suite leaves the
+        worker on the standard suite, and an unpicklable configuration
+        entry stays out of the worker's table — a task on that engine
+        carries the entry in its descriptor instead (see
+        :meth:`_run_many_warm`), so a batch that never uses it runs.
         """
         suite: MetricSuite | None = self.suite
-        try:
-            pickle.dumps(suite)
-        except Exception:
+        if not _picklable(suite):
             suite = None
         init = WorkerInit(
             options={
@@ -705,16 +664,14 @@ class TestRunner:
                 "task_timeout": self.options.task_timeout,
             },
             suite=suite,
-            configurations=dict(self.configurations),
+            configurations={
+                name: configuration
+                for name, configuration in self.configurations.items()
+                if _picklable(configuration)
+            },
             prewarm_engines=tuple(sorted(self.configurations)),
         )
-        try:
-            payload = pickle.dumps(init)
-        except Exception as error:
-            raise WorkerPoolError(
-                f"worker initializer is not picklable: {error}"
-            ) from error
-        return init, hashlib.sha256(payload).hexdigest()
+        return init, hashlib.sha256(pickle.dumps(init)).hexdigest()
 
     def _ensure_worker_pool(self) -> WorkerPool:
         """The warm pool matching current options (rebuilt when stale).
@@ -737,18 +694,15 @@ class TestRunner:
 
     def _run_many_warm(
         self,
-        pool: WorkerPool,
         tasks: list[RunTask],
         policy: RetryPolicy,
         on_error: str,
         tracer: Tracer,
     ) -> list[RunOutcome]:
-        """The warm path: lightweight descriptors to persistent workers."""
-        shipped_policy: RetryPolicy | None = policy
-        try:
-            pickle.dumps(policy)
-        except Exception:
-            shipped_policy = None
+        """The process branch: lightweight descriptors to warm workers."""
+        pool = self._ensure_worker_pool()
+        installed = pool.init.configurations
+        shipped_policy = policy if _picklable(policy) else None
         scalars = (
             policy.max_attempts - 1,
             policy.backoff_seconds,
@@ -761,13 +715,18 @@ class TestRunner:
         handles = self._dataset_handles(tasks, pool)
         descriptors = []
         for index, task in enumerate(tasks):
+            configuration = task.configuration
+            if configuration is None and task.engine_name not in installed:
+                # The table entry the worker lacks (None when the runner
+                # has none either: both sides build the bare engine).
+                configuration = self.configurations.get(task.engine_name)
             descriptors.append(
                 TaskDescriptor(
                     prescription=self._shipped_task_prescription(task),
                     engine_name=task.engine_name,
                     volume_override=task.volume_override,
                     overrides=dict(task.overrides),
-                    configuration=task.configuration,
+                    configuration=configuration,
                     data_partitions=task.data_partitions,
                     chunk_size=task.chunk_size,
                     handle=handles[index],
@@ -785,31 +744,6 @@ class TestRunner:
                 descriptor.payload_bytes = len(pickle.dumps(descriptor))
             tracer.count("pool_reuse", pool.batches)
         return pool.run_batch(descriptors)
-
-    def _run_many_cold(
-        self,
-        tasks: list[RunTask],
-        policy: RetryPolicy,
-        on_error: str,
-        tracer: Tracer,
-    ) -> list[RunOutcome]:
-        """The cold path: self-contained payloads, fresh worker runners."""
-        submitted_wall = time.time()
-        payloads = [
-            self._task_payload(
-                task,
-                policy=policy,
-                on_error=on_error,
-                task_index=index,
-                submitted_wall=submitted_wall,
-                trace=tracer.enabled,
-            )
-            for index, task in enumerate(tasks)
-        ]
-        if tracer.enabled:
-            for payload in payloads:
-                payload["payload_bytes"] = len(pickle.dumps(payload))
-        return self.executor.map(_subprocess_run_task, payloads)
 
     def _resolved_prescription(self, task: RunTask) -> Prescription:
         prescription = task.prescription
@@ -926,140 +860,11 @@ class TestRunner:
             for key in keys
         ]
 
-    def _task_payload(
-        self,
-        task: RunTask,
-        *,
-        policy: RetryPolicy | None = None,
-        on_error: str | None = None,
-        task_index: int = 0,
-        submitted_wall: float | None = None,
-        trace: bool = False,
-    ) -> dict[str, Any]:
-        """A self-contained, picklable description of one task.
 
-        The prescription ships by value when picklable; otherwise by
-        name, to be resolved from the worker's built-in repository
-        (iterative prescriptions hold stopping-condition callables that
-        cannot cross a process boundary).  The metric suite ships by
-        value too, so custom metrics survive the process boundary; an
-        unpicklable suite falls back to the standard one in the worker.
-        The retry policy ships by value when picklable (preserving a
-        custom ``retryable`` filter); otherwise the worker rebuilds an
-        equivalent policy from the scalar options.
-        """
-        prescription = task.prescription
-        if isinstance(prescription, str):
-            prescription = self.test_generator.repository.get(prescription)
-        shipped: Prescription | str
-        try:
-            pickle.dumps(prescription)
-            shipped = prescription
-        except Exception:
-            shipped = prescription.name
-        suite: MetricSuite | None = self.suite
-        try:
-            pickle.dumps(suite)
-        except Exception:
-            suite = None
-        configuration = (
-            task.configuration
-            if task.configuration is not None
-            else self.configurations.get(task.engine_name)
-        )
-        policy = policy or self.options.retry_policy()
-        shipped_policy: RetryPolicy | None = policy
-        try:
-            pickle.dumps(policy)
-        except Exception:
-            shipped_policy = None
-        return {
-            "prescription": shipped,
-            "engine_name": task.engine_name,
-            "volume_override": task.volume_override,
-            "overrides": dict(task.overrides),
-            "configuration": configuration,
-            "data_partitions": task.data_partitions,
-            "chunk_size": task.chunk_size,
-            "suite": suite,
-            "options": {
-                "repeats": self.options.repeats,
-                "warmup_runs": self.options.warmup_runs,
-                "check_format": self.options.check_format,
-                "on_error": (
-                    on_error if on_error is not None else self.options.on_error
-                ),
-                "retries": policy.max_attempts - 1,
-                "retry_backoff": policy.backoff_seconds,
-                "retry_jitter": policy.jitter,
-                "retry_seed": policy.seed,
-                "task_timeout": self.options.task_timeout,
-            },
-            "retry_policy": shipped_policy,
-            "task_index": task_index,
-            "submitted_wall": submitted_wall,
-            "trace": trace,
-        }
-
-
-def _subprocess_run_task(payload: dict[str, Any]) -> RunOutcome:
-    """Worker-process entry point: rebuild a serial runner and run.
-
-    Generation is deterministic, so the worker's fresh dataset is
-    record-for-record identical to what the parent would have generated;
-    metric means (other than wall-clock measurements) match the serial
-    path exactly.
-
-    The retry loop runs *here*, inside the worker, through the same
-    attempt-loop code path as the serial and thread backends — so fault
-    injection, backoff, and failure capture behave identically.  Under
-    ``on_error="continue"`` the captured :class:`TaskFailure` returns
-    through the pool like any result; under ``"abort"`` the exception
-    propagates and the pool re-raises it in the parent.
-
-    When the payload asks for tracing, the worker records into a fresh
-    tracer and returns its serialized span trees inside the outcome
-    payload; the parent grafts them in submission order.  Queue wait is
-    computed from the payload's wall-clock submit stamp — wall clocks
-    are the only clocks that cross the process boundary.
-    """
-    import repro  # noqa: F401 — fills the registries in the worker
-
-    runner = TestRunner(
-        options=RunnerOptions(executor="serial", **payload["options"]),
-        suite=payload.get("suite"),
-    )
-    # Engine construction mirrors the parent: the payload carries the
-    # resolved configuration (None means a bare registry engine).
-    runner.configurations = {}
-    task = RunTask(
-        prescription=payload["prescription"],
-        engine_name=payload["engine_name"],
-        volume_override=payload["volume_override"],
-        overrides=dict(payload["overrides"]),
-        configuration=payload["configuration"],
-        data_partitions=payload["data_partitions"],
-        chunk_size=payload.get("chunk_size"),
-    )
-    policy = payload.get("retry_policy") or runner.options.retry_policy()
-    on_error = runner.options.on_error
-    if not payload.get("trace"):
-        return runner._run_task_guarded(task, policy, on_error)
-    submitted_wall = payload.get("submitted_wall")
-    queue_wait = (
-        max(0.0, time.time() - submitted_wall)
-        if submitted_wall is not None
-        else 0.0
-    )
-    outcome = runner._run_task_traced(
-        task,
-        payload.get("task_index", 0),
-        policy,
-        on_error,
-        queue_wait=queue_wait,
-    )
-    annotate_task_trace(
-        outcome.extra.get(TRACE_EXTRA_KEY),
-        payload_bytes=payload.get("payload_bytes"),
-    )
-    return outcome
+def _picklable(value: Any) -> bool:
+    """Whether ``value`` can cross the process boundary."""
+    try:
+        pickle.dumps(value)
+    except Exception:  # noqa: BLE001 - any pickling failure means no
+        return False
+    return True

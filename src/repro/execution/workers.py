@@ -1,24 +1,24 @@
-"""Warm process worker pools: task streams instead of task payloads.
+"""Warm process worker pools: the process branch of ``run_many``.
 
-The historical process backend shipped every task as a self-contained
-pickled payload — prescription, metric suite, engine configuration —
-and rebuilt a runner (plus regenerated the data set) inside the worker
-for *every task*.  Fan-out lost to a plain loop: the pool spawned per
-batch, the payloads carried kilobytes per task, and N workers generated
-the same deterministic data set N times.
-
-This module keeps the pool — and everything expensive in it — **warm**:
+A process batch costs what crosses the boundary, so this module keeps
+the pool — and everything expensive in it — **warm**:
 
 * Each worker runs :func:`_initialize_worker` once, building a serial
   :class:`~repro.execution.runner.TestRunner`, resolving the metric
-  suite, installing the engine-configuration table, pre-building the
-  configured engines (priming lazy imports), and adopting any dataset
-  handles known at pool creation into its local
-  :class:`~repro.datagen.cache.DatasetCache`.
+  suite, installing the picklable part of the engine-configuration
+  table, pre-building the configured engines (priming lazy imports),
+  and adopting any dataset handles known at pool creation into its
+  local :class:`~repro.datagen.cache.DatasetCache`.
 * Tasks then arrive as :class:`TaskDescriptor` objects — a prescription
   *name* when the worker can resolve it, a dataset *handle* instead of
-  records, and a handful of scalars.  Payload size is observable: when
+  records, and a handful of scalars.  A task-specific configuration, or
+  a table entry the worker could not be given because it does not
+  pickle, rides in the descriptor.  Payload size is observable: when
   tracing is on, each task span carries ``payload_bytes``.
+* Each worker runs a descriptor through the runner's one per-task
+  function (``TestRunner._run_task``), so retries, fault injection,
+  failure capture and tracing behave exactly as on the serial and
+  thread backends.
 * Data sets ship through :mod:`repro.datagen.handoff`: serialized once
   per pool into shared memory (or referenced as an existing spill
   file), re-streamed in place by each worker — or not shipped at all
@@ -59,19 +59,10 @@ __all__ = [
     "TaskDescriptor",
     "WorkerInit",
     "WorkerPool",
-    "WorkerPoolError",
     "annotate_task_trace",
     "compute_chunksize",
     "shipped_prescription",
 ]
-
-
-class WorkerPoolError(ExecutionError):
-    """The warm pool cannot be built (e.g. unpicklable initializer state).
-
-    Callers fall back to the cold per-task-payload path, which degrades
-    task by task instead of refusing the whole batch.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +82,10 @@ class WorkerInit:
 
     options: dict[str, Any] = field(default_factory=dict)
     #: The runner's metric suite (None → the worker builds the standard
-    #: suite; unpicklable suites degrade the same way the cold path does).
+    #: suite, which is what an unpicklable suite degrades to).
     suite: Any = None
-    #: The runner's engine-configuration table, installed verbatim.
+    #: The picklable entries of the runner's engine-configuration table,
+    #: installed verbatim; descriptors carry any entry left out.
     configurations: dict[str, Any] = field(default_factory=dict)
     #: Engines to build once during initialization — warms the lazy
     #: imports and class caches the first real task would otherwise pay.
@@ -114,8 +106,9 @@ class TaskDescriptor:
     engine_name: str
     volume_override: int | None = None
     overrides: dict[str, Any] = field(default_factory=dict)
-    #: Only set for task-specific configurations (configuration sweeps);
-    #: None means the worker's installed table decides.
+    #: Set for task-specific configurations (configuration sweeps) and
+    #: for table entries the worker lacks (they did not pickle into
+    #: :class:`WorkerInit`); None means the worker's table decides.
     configuration: Any = None
     data_partitions: int | None = None
     chunk_size: int | None = None
@@ -209,7 +202,6 @@ class WorkerContext:
 
     def run(self, descriptor: TaskDescriptor) -> Any:
         """Execute one descriptor on the persistent runner."""
-        from repro.core.results import RunResult, TaskFailure  # noqa: F401
         from repro.execution.retry import RetryPolicy
         from repro.execution.runner import TRACE_EXTRA_KEY, RunTask
 
@@ -237,27 +229,23 @@ class WorkerContext:
             )
         cache = runner.test_generator.dataset_cache
         cache_before = cache.stats() if cache is not None else None
-        if descriptor.trace:
-            queue_wait = (
+        outcome = runner._run_task(
+            task,
+            descriptor.task_index,
+            policy,
+            descriptor.on_error,
+            trace=descriptor.trace,
+            queue_wait=(
                 max(0.0, time.time() - descriptor.submitted_wall)
                 if descriptor.submitted_wall is not None
                 else 0.0
-            )
-            outcome = runner._run_task_traced(
-                task,
-                descriptor.task_index,
-                policy,
-                descriptor.on_error,
-                queue_wait=queue_wait,
-            )
+            ),
+        )
+        if descriptor.trace:
             annotate_task_trace(
                 outcome.extra.get(TRACE_EXTRA_KEY),
                 payload_bytes=descriptor.payload_bytes,
                 pool_batch=descriptor.pool_batch,
-            )
-        else:
-            outcome = runner._run_task_guarded(
-                task, policy, descriptor.on_error
             )
         if cache_before is not None:
             outcome.extra["worker_cache"] = (
@@ -431,13 +419,13 @@ def shipped_prescription(resolved: Any) -> Any:
     own repository reproduces it, so the descriptor stays bytes-small.
     Anything else ships by value when picklable; unpicklable
     prescriptions (iterative stopping conditions) fall back to the name,
-    exactly like the cold path.
+    for the worker's repository to resolve.
     """
     import pickle
 
     try:
         payload = pickle.dumps(resolved)
-    except Exception:  # noqa: BLE001 - mirror the cold path's fallback
+    except Exception:  # noqa: BLE001 - unpicklable: ship by name
         return resolved.name
     if payload == _builtin_pickle(resolved.name):
         return resolved.name

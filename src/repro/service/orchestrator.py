@@ -482,7 +482,6 @@ class Orchestrator:
         key = (
             spec.executor,
             spec.max_workers,
-            spec.warm_pool,
             spec.repeats,
             spec.on_error,
             spec.retries,
@@ -503,7 +502,6 @@ class Orchestrator:
                 repeats=spec.repeats,
                 executor=spec.executor,
                 max_workers=spec.max_workers,
-                warm_pool=spec.warm_pool,
                 on_error=spec.on_error,
                 retries=spec.retries,
                 retry_backoff=spec.retry_backoff,

@@ -418,7 +418,6 @@ def _run_cells_local(
     layout: str,
     executor: str,
     max_workers: int | None,
-    warm_pool: bool,
     chunk_size: int | None,
 ) -> None:
     from repro.core.test_generator import TestGenerator
@@ -450,7 +449,6 @@ def _run_cells_local(
                 warmup_runs=warmup,
                 executor=executor,
                 max_workers=max_workers,
-                warm_pool=warm_pool,
                 on_error="continue",
             ),
             store=store,
@@ -485,7 +483,6 @@ def _run_cells_service(
     layout: str,
     executor: str,
     max_workers: int | None,
-    warm_pool: bool,
     chunk_size: int | None,
     schedulers: int,
 ) -> None:
@@ -515,7 +512,6 @@ def _run_cells_service(
                 params=dict(cell_params),
                 executor=executor,
                 max_workers=max_workers,
-                warm_pool=warm_pool,
                 chunk_size=chunk_size,
                 layout=layout,
                 tuning=cell.profile.name,
@@ -546,7 +542,6 @@ def run_ablation(
     layout: str = "row",
     executor: str = "serial",
     max_workers: int | None = None,
-    warm_pool: bool = True,
     chunk_size: int | None = None,
     include_one_offs: bool = True,
     profiles: dict[str, list[TuningProfile]] | None = None,
@@ -602,7 +597,6 @@ def run_ablation(
             layout=layout,
             executor=executor,
             max_workers=max_workers,
-            warm_pool=warm_pool,
             chunk_size=chunk_size,
             schedulers=schedulers,
         )
@@ -619,7 +613,6 @@ def run_ablation(
             layout=layout,
             executor=executor,
             max_workers=max_workers,
-            warm_pool=warm_pool,
             chunk_size=chunk_size,
         )
 

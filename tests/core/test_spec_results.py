@@ -126,6 +126,22 @@ class TestSpecVersioning:
             register_spec_migration(1, lambda payload: payload)
 
 
+class TestWarmPoolFieldRemoval:
+    """v4 dropped ``warm_pool``: the warm pool is the only process path,
+    so v3 payloads that carry the field still load, whatever its value."""
+
+    @pytest.mark.parametrize("warm_pool", [False, True])
+    def test_v3_payload_drops_warm_pool(self, warm_pool):
+        spec = BenchmarkSpec.from_dict(
+            {"spec_version": 3, "prescription": "micro-wordcount",
+             "engines": ["mapreduce"], "executor": "process",
+             "warm_pool": warm_pool, "tuning": "normal"}
+        )
+        assert spec.executor == "process"
+        assert spec.engines == ["mapreduce"]
+        assert "warm_pool" not in spec.as_dict()
+
+
 class TestTuningField:
     """v3 added ``tuning``; v2 payloads (and v1 before them) load as
     the ``normal`` profile — the bare engines they actually ran."""

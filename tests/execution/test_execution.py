@@ -23,8 +23,6 @@ from repro.execution.report import (
     markdown_table,
     render_results,
     render_trace,
-    results_json,
-    results_table,
 )
 from repro.execution.runner import RunnerOptions, TestRunner
 from repro.observability import Span
@@ -160,6 +158,33 @@ class TestHarness:
         assert rows[0]["volume"] == 10
         assert "duration" in rows[0]
 
+    def test_sweep_accessors_tolerate_a_failed_point(self):
+        from repro.engines.faults import FaultSpec
+
+        harness = BenchmarkHarness(
+            TestRunner(options=RunnerOptions(on_error="continue"))
+        )
+        report = harness.configuration_sweep(
+            "micro-wordcount",
+            "mapreduce",
+            {
+                "bare": SystemConfiguration("mapreduce"),
+                "faulty": SystemConfiguration(
+                    "mapreduce", fault=FaultSpec(failure_rate=1.0)
+                ),
+            },
+            volume_override=30,
+        )
+        assert [point.value for point in report.points] == ["bare", "faulty"]
+        assert [value for value, _ in report.series("throughput")] == [
+            "bare"
+        ]
+        bare, faulty = report.rows(["throughput"])
+        assert "throughput" in bare and "error" not in bare
+        assert faulty["configuration"] == "faulty"
+        assert faulty["error"].startswith("InjectedFault")
+        assert "throughput" not in faulty
+
 
 class TestReporting:
     def _results(self) -> list[RunResult]:
@@ -181,13 +206,15 @@ class TestReporting:
         assert lines[0] == "| x |"
         assert lines[1] == "|---|"
 
-    def test_results_table_contains_metrics(self):
-        text = results_table(self._results(), ["duration", "throughput"])
+    def test_rendered_table_contains_metrics(self):
+        text = render_results(
+            self._results(), metrics=["duration", "throughput"]
+        )
         assert "duration" in text
         assert "mapreduce" in text
 
-    def test_results_json_roundtrips(self):
-        payload = json.loads(results_json(self._results()))
+    def test_rendered_json_roundtrips(self):
+        payload = json.loads(render_results(self._results(), style="json"))
         assert payload[0]["engine"] == "mapreduce"
         assert "duration" in payload[0]["metrics"]
 
@@ -229,16 +256,6 @@ class TestRenderFacade:
         assert render_results(results, metrics=["duration"]) == render_results(
             results, style="ascii", metrics=["duration"]
         )
-
-    def test_delegates_match_the_facade(self):
-        results = self._results()
-        assert results_table(results, ["duration"]) == render_results(
-            results, style="ascii", metrics=["duration"]
-        )
-        assert results_table(
-            results, ["duration"], style="markdown"
-        ) == render_results(results, style="markdown", metrics=["duration"])
-        assert results_json(results) == render_results(results, style="json")
 
     def test_omitted_metrics_show_every_metric(self):
         results = self._results()

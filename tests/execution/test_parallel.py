@@ -8,11 +8,13 @@ guarantee.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.errors import ExecutionError
 from repro.core.metrics import Metric, MetricKind, MetricSuite
-from repro.core.prescription import Prescription
+from repro.core.prescription import Prescription, builtin_repository
 from repro.engines.mapreduce import JobConf, MapReduceEngine, MapReduceJob
 from repro.execution.config import SystemConfiguration
 from repro.execution.harness import BenchmarkHarness
@@ -211,27 +213,45 @@ def _extended_suite() -> MetricSuite:
 
 
 class TestProcessPayloads:
+    """What the process branch ships: per-task descriptors carry the
+    prescription; the pool initializer carries the suite and the
+    configuration table."""
+
     def test_picklable_prescription_ships_by_value(self):
+        # A picklable prescription the worker's repository cannot
+        # reproduce (here: a modified built-in) travels by value.
+        prescription = builtin_repository().get("micro-wordcount")
+        modified = dataclasses.replace(
+            prescription, data=dataclasses.replace(prescription.data, volume=7)
+        )
         runner = TestRunner()
-        payload = runner._task_payload(RunTask("micro-wordcount", "mapreduce"))
-        assert isinstance(payload["prescription"], Prescription)
+        shipped = runner._shipped_task_prescription(
+            RunTask(modified, "mapreduce")
+        )
+        assert isinstance(shipped, Prescription)
+        assert shipped is modified
 
     def test_unpicklable_prescription_ships_by_name(self):
         # Iterative prescriptions hold stopping-condition callables that
         # cannot cross a process boundary.
         runner = TestRunner()
-        payload = runner._task_payload(RunTask("search-pagerank", "mapreduce"))
-        assert payload["prescription"] == "search-pagerank"
+        shipped = runner._shipped_task_prescription(
+            RunTask("search-pagerank", "mapreduce")
+        )
+        assert shipped == "search-pagerank"
 
     def test_payload_resolves_default_configuration(self):
         runner = TestRunner()
-        payload = runner._task_payload(RunTask("micro-wordcount", "mapreduce"))
-        assert payload["configuration"] is runner.configurations["mapreduce"]
+        init, _ = runner._worker_init()
+        assert init.configurations["mapreduce"] is (
+            runner.configurations["mapreduce"]
+        )
+        assert "mapreduce" in init.prewarm_engines
 
     def test_picklable_suite_ships_by_value(self):
         runner = TestRunner(suite=_extended_suite())
-        payload = runner._task_payload(RunTask("micro-wordcount", "mapreduce"))
-        assert payload["suite"] is runner.suite
+        init, _ = runner._worker_init()
+        assert init.suite is runner.suite
 
     def test_unpicklable_suite_falls_back_to_standard(self):
         class LocalMetric(Metric):  # local class: cannot pickle instances
@@ -241,8 +261,15 @@ class TestProcessPayloads:
                 return 1.0
 
         runner = TestRunner(suite=MetricSuite([LocalMetric()]))
-        payload = runner._task_payload(RunTask("micro-wordcount", "mapreduce"))
-        assert payload["suite"] is None
+        init, _ = runner._worker_init()
+        assert init.suite is None
+        # The worker side of the fallback: a None suite is the standard.
+        from repro.execution.workers import WorkerContext
+
+        worker_suite = WorkerContext(init).runner.suite
+        assert [m.name for m in worker_suite.metrics] == [
+            m.name for m in MetricSuite.standard().metrics
+        ]
 
     def test_custom_suite_survives_the_process_boundary(self):
         """Workers must compute the runner's suite, not silently revert

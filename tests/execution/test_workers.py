@@ -4,17 +4,19 @@ Covers the pool's lifetime contract (reuse across ``run_many`` calls,
 invalidation when the options it was initialized from mutate, shutdown
 on ``close``), the dataset-shipping strategies (shared-bytes export for
 shared keys, fingerprint shipping with worker-side regeneration and
-cache hits), payload-size observability on traced runs, and the cold
-per-task-payload fallback.
+cache hits), payload-size observability on traced runs, and the
+configuration entries that cannot be pickled into the pool initializer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.core.prescription import builtin_repository
+from repro.execution.config import SystemConfiguration
 from repro.execution.parallel import compute_chunksize
 from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 from repro.execution.workers import (
@@ -87,27 +89,37 @@ class TestPoolLifetime:
         assert runner._worker_pool is None
         assert pool.exports == {}
 
-    def test_warm_pool_disabled_uses_cold_path(self):
-        with _process_runner(warm_pool=False) as runner:
+
+class TestUnpicklableConfiguration:
+    """An unpicklable table entry stays out of the worker initializer."""
+
+    @staticmethod
+    def _runner_with_unpicklable_dbms_entry() -> TestRunner:
+        runner = _process_runner()
+        runner.configurations["dbms"] = SystemConfiguration(
+            "dbms", options={"hook": lambda: None}
+        )
+        return runner
+
+    def test_unused_unpicklable_entry_leaves_the_batch_running(self):
+        with self._runner_with_unpicklable_dbms_entry() as runner:
             outcomes = runner.run_many(SHARED_DATA_TASKS)
-            assert runner._worker_pool is None
             assert [outcome.test_name for outcome in outcomes] == [
                 "micro-wordcount@mapreduce",
                 "micro-sort@mapreduce",
             ]
+            init = runner._worker_pool.init
+            assert "dbms" not in init.configurations
+            assert "mapreduce" in init.configurations
 
-    def test_warm_and_cold_paths_agree_on_deterministic_metrics(self):
-        deterministic = [
-            "throughput", "ops_per_second", "data_rate",
-            "network_rate", "energy", "cost",
+    def test_used_unpicklable_entry_raises_even_under_continue(self):
+        tasks = [
+            RunTask("database-aggregate-join", "mapreduce"),
+            RunTask("database-aggregate-join", "dbms"),
         ]
-        with _process_runner() as warm:
-            warm_out = warm.run_many(SHARED_DATA_TASKS)
-        with _process_runner(warm_pool=False) as cold:
-            cold_out = cold.run_many(SHARED_DATA_TASKS)
-        for a, b in zip(warm_out, cold_out):
-            for name in deterministic:
-                assert a.mean(name) == b.mean(name)
+        with self._runner_with_unpicklable_dbms_entry() as runner:
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                runner.run_many(tasks, on_error="continue")
 
 
 class TestDatasetShipping:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.errors import ServiceError
@@ -146,3 +148,21 @@ class TestJobLog:
 
     def test_empty_log_replays_empty(self, tmp_path):
         assert JobLog(tmp_path).replay() == {}
+
+    def test_replay_loads_a_v3_spec_with_warm_pool(self, tmp_path):
+        # A submission logged before SPEC_VERSION 4 carries warm_pool.
+        payload = make_job(executor="process").as_dict()
+        payload["spec"]["spec_version"] = 3
+        payload["spec"]["warm_pool"] = False
+        log = JobLog(tmp_path)
+        tmp_path.mkdir(exist_ok=True)
+        log.path.write_text(
+            json.dumps({"job_id": "j0001", "event": "queued",
+                        "at": payload["submitted_at"], "job": payload})
+            + "\n",
+            encoding="utf-8",
+        )
+        replayed = log.replay()["j0001"]
+        assert replayed.spec.executor == "process"
+        assert replayed.spec.prescription == "micro-wordcount"
+        assert "warm_pool" not in replayed.spec.as_dict()

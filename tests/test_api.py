@@ -1,8 +1,6 @@
-"""Tests for the ``repro.api`` facade and the deprecation shims."""
+"""Tests for the ``repro.api`` facade."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -74,31 +72,6 @@ class TestFacadeSurface:
                                   engines=["mapreduce"])
             ).result(timeout=60)
         assert all(isinstance(o, RunResult) for o in outcomes)
-
-
-class TestDeprecationShims:
-    def _results(self):
-        report = api.run("micro-wordcount", volume=60,
-                         engines=["mapreduce"])
-        return report.results
-
-    def test_results_table_warns_and_still_works(self):
-        from repro.execution.report import render_results, results_table
-
-        results = self._results()
-        with pytest.warns(DeprecationWarning, match="results_table"):
-            legacy = results_table(results, ["duration"])
-        assert legacy == render_results(results, metrics=["duration"])
-
-    def test_results_json_warns_and_still_works(self):
-        from repro.execution.report import render_results, results_json
-
-        results = self._results()
-        with pytest.warns(DeprecationWarning, match="results_json"):
-            legacy = results_json(results)
-        assert json.loads(legacy) == json.loads(
-            render_results(results, style="json")
-        )
 
 
 class TestLoadFacade:
